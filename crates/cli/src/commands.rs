@@ -346,7 +346,9 @@ pub fn cmd_journal(parsed: &Parsed) -> Result<String, CliError> {
 }
 
 /// `tmpctl knobs`: the registered `TMPROF_*` environment knobs and their
-/// current values.
+/// current values, then any `TMPROF_*` variable set in the environment
+/// that no knob reads (a typo, or a knob that was retired), so it shows
+/// up instead of silently doing nothing.
 pub fn cmd_knobs() -> String {
     let mut out = String::from("Environment knobs (tmprof_core::knobs):\n\n");
     for k in tmprof_core::knobs::ALL {
@@ -357,6 +359,18 @@ pub fn cmd_knobs() -> String {
         out.push_str(&format!(
             "  {} ({current})\n    accepts: {}\n    default: {}\n    {}\n\n",
             k.name, k.accepts, k.default, k.help
+        ));
+    }
+    // tmprof-lint: allow(knob-registry) — the knob name prefix, matched against the environment, not a knob
+    let prefix = "TMPROF_";
+    let mut unknown: Vec<(String, String)> = std::env::vars_os()
+        .filter_map(|(k, v)| Some((k.into_string().ok()?, v.to_string_lossy().into_owned())))
+        .filter(|(k, _)| k.starts_with(prefix) && tmprof_core::knobs::lookup(k).is_none())
+        .collect();
+    unknown.sort();
+    for (name, value) in unknown {
+        out.push_str(&format!(
+            "  {name} (set to {value:?}): unrecognised (ignored)\n"
         ));
     }
     out
@@ -470,6 +484,19 @@ mod tests {
             assert!(out.contains(k.name), "{} missing", k.name);
             assert!(out.contains(k.default), "{} default missing", k.name);
         }
+    }
+
+    #[test]
+    fn knobs_flags_unregistered_variables() {
+        let name = "TMPROF_RETIRED_KNOB_FOR_KNOBS_TEST";
+        std::env::set_var(name, "1");
+        let out = run(&["knobs"]).unwrap();
+        std::env::remove_var(name);
+        assert!(
+            out.contains(&format!("  {name} (set to \"1\"): unrecognised (ignored)")),
+            "{out}"
+        );
+        assert!(!out.contains("TMPROF_SCALE (set to \"quick\"): unrecognised"));
     }
 
     #[test]

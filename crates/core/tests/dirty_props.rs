@@ -221,16 +221,16 @@ mod unmap_huge_mid_epoch {
         let (pt, _, _) = m.scan_parts(1).expect("pid 1 exists");
         pt.unmap_huge(Vpn(HUGE_BASE)).expect("huge entry present");
 
-        // Packed and scalar scans agree that only the small neighbor is
-        // left hot — the unmapped accessed+dirty span must not leak
-        // observations out of stale candidate words.
-        let mut packed_hits = Vec::new();
-        let (fp, resume) = pt.scan_accessed_bounded(Vpn(0), u64::MAX, |vpn, pte| {
+        // The A-bit scan and the reference walk agree that only the small
+        // neighbor is left hot — the unmapped accessed+dirty span must not
+        // leak observations out of stale summary or candidate words.
+        let mut scan_hits = Vec::new();
+        let (fp, resume) = pt.hier_scan_accessed_bounded(Vpn(0), u64::MAX, |vpn, pte| {
             if pte.test_and_clear_accessed() {
-                packed_hits.push(vpn);
+                scan_hits.push(vpn);
             }
         });
-        assert_eq!(packed_hits, vec![Vpn(3)]);
+        assert_eq!(scan_hits, vec![Vpn(3)]);
         assert_eq!(fp.ptes_visited, 1, "unmapped span still counted");
         assert_eq!(resume, None);
 
@@ -240,7 +240,7 @@ mod unmap_huge_mid_epoch {
                 scalar_hits.push(vpn);
             }
         });
-        // The packed pass already cleared the survivor's A bit; the walk
+        // The scan already cleared the survivor's A bit; the walk
         // still visits exactly the same one present PTE.
         assert!(scalar_hits.is_empty());
         assert_eq!(fp2.ptes_visited, 1);
@@ -255,7 +255,7 @@ mod unmap_huge_mid_epoch {
         // inherit the dead run's A/D state.
         pt.map(Vpn(HUGE_BASE + 5), Pte::new(Pfn(9), true));
         let mut hits = Vec::new();
-        pt.scan_accessed_bounded(Vpn(HUGE_BASE), u64::MAX, |vpn, pte| {
+        pt.hier_scan_accessed_bounded(Vpn(HUGE_BASE), u64::MAX, |vpn, pte| {
             if pte.test_and_clear_accessed() {
                 hits.push(vpn);
             }

@@ -37,15 +37,12 @@ use crate::symbols::{FnId, Workspace};
 /// Registered hot entry points, as (workspace-relative file, fn name)
 /// pairs; a trailing `*` makes the name a prefix match. These are the
 /// paper's "must stay cheap and predictable" paths: batched execution,
-/// the A-bit scans (flat, scalar, and hierarchical), epoch close, and
-/// the hotness ranking.
+/// the A-bit scan, epoch close, and the hotness ranking.
 pub const HOT_ENTRIES: &[(&str, &str)] = &[
     ("crates/sim/src/batch.rs", "exec_batch"),
     ("crates/profilers/src/abit.rs", "scan_process"),
-    ("crates/profilers/src/abit.rs", "scan_process_scalar"),
     ("crates/sim/src/pagetable.rs", "hier_scan_*"),
     ("crates/core/src/profiler.rs", "end_epoch"),
-    ("crates/core/src/profiler.rs", "end_epoch_overlapped"),
     ("crates/core/src/rank.rs", "ranked"),
     ("crates/core/src/rank.rs", "top_k"),
     ("crates/core/src/rank.rs", "ranked_pages"),

@@ -201,15 +201,12 @@ fn workspace_self_check_is_clean_modulo_baseline() {
         "the workspace must stay lint-clean modulo the committed baseline: {:#?}",
         report.violations
     );
-    // The baseline may park lock-order findings, but the panic and knob
-    // passes are burned down to zero — keep them there.
-    for v in &report.baselined {
-        assert!(
-            v.rule != "panic-reachability" && v.rule != "knob-flow",
-            "the {} baseline must stay empty: {v:#?}",
-            v.rule
-        );
-    }
+    // Every pass is burned down to zero — keep it there.
+    assert!(
+        report.baselined.is_empty(),
+        "the baseline must stay empty: {:#?}",
+        report.baselined
+    );
     // Sanity: the walk actually covered the tree, not an empty dir.
     assert!(report.files_checked > 50, "{}", report.files_checked);
 }

@@ -25,10 +25,6 @@ use tmprof_sim::machine::Machine;
 use tmprof_sim::pagedesc::PageKey;
 use tmprof_sim::tlb::Pid;
 
-/// Environment knob selecting the hierarchical subtree-skipping scan
-/// (`"1"` = on). Registered in `tmprof-core`'s knob registry.
-pub const HIER_ENV: &str = "TMPROF_HIER_SCAN";
-
 /// Scanner configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ABitConfig {
@@ -126,10 +122,6 @@ pub struct AbitHeatPoint {
 /// The A-bit scanning driver.
 pub struct ABitScanner {
     cfg: ABitConfig,
-    /// Prune cold subtrees via interior A-summary words before touching
-    /// leaf bitmaps (Telescope-style tree profiling). Observable behavior
-    /// is identical to the flat packed scan; only traversal work shrinks.
-    hier: bool,
     /// Resume cursor per PID for budgeted scans.
     cursors: KeyMap<Pid, Vpn>,
     /// Raw (possibly duplicated) packed keys observed this epoch; sorted
@@ -144,13 +136,10 @@ pub struct ABitScanner {
 }
 
 impl ABitScanner {
-    /// New scanner. The hierarchical scan mode defaults to the
-    /// `TMPROF_HIER_SCAN` environment knob (off unless set to `"1"`).
+    /// New scanner.
     pub fn new(cfg: ABitConfig) -> Self {
         Self {
             cfg,
-            // tmprof-lint: allow(knob-flow) — profilers reads the hier-scan toggle directly to avoid a dependency cycle with core; the name is pinned by the knob-registry sync test
-            hier: std::env::var(HIER_ENV).is_ok_and(|v| v == "1"),
             cursors: KeyMap::default(),
             epoch_pages: Vec::new(),
             seen_pages: PageSet::new(),
@@ -166,19 +155,6 @@ impl ABitScanner {
         &self.cfg
     }
 
-    /// Force the hierarchical scan mode on or off, overriding the
-    /// `TMPROF_HIER_SCAN` environment default (builder style, for tests
-    /// and benches that compare the two traversals directly).
-    pub fn with_hier(mut self, on: bool) -> Self {
-        self.hier = on;
-        self
-    }
-
-    /// Whether the packed scan prunes cold subtrees hierarchically.
-    pub fn hier(&self) -> bool {
-        self.hier
-    }
-
     /// Gate scanning on/off (TMP's TLB-miss-counter control).
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
@@ -192,21 +168,17 @@ impl ABitScanner {
     /// Scan one process: walk its PTEs (budgeted, resuming from the last
     /// cursor), clear A bits, credit observations, optionally shoot down.
     ///
-    /// Uses the page table's packed word-wise scan: candidate pages come
-    /// from the `a_words & present_words` bitmaps 64 at a time, so mapped
-    /// but idle regions cost a couple of word loads instead of a branch
-    /// per PTE. Observable behavior — observations, cleared bits, cursor,
-    /// footprint, simulated cost — is identical to
-    /// [`ABitScanner::scan_process_scalar`] (the scan_props suite holds
-    /// the two to bit-for-bit equivalence).
+    /// Uses the page table's hierarchical scan: cold subtrees are pruned
+    /// via interior summary words, and candidate pages come from the
+    /// `a_words & present_words` leaf bitmaps 64 at a time, so mapped but
+    /// idle regions cost a few word loads instead of a branch per PTE.
+    /// Observable behavior — observations, cleared bits, cursor,
+    /// footprint, simulated cost — is identical to a per-PTE
+    /// `test_and_clear_accessed` over
+    /// [`PageTable::walk_present_bounded`](tmprof_sim::pagetable::PageTable::walk_present_bounded)
+    /// (the scan_props suite holds the two to bit-for-bit equivalence).
     pub fn scan_process(&mut self, machine: &mut Machine, pid: Pid) {
-        self.scan_process_impl(machine, pid, true, None);
-    }
-
-    /// The per-PTE `test_and_clear_accessed` reference walk the packed
-    /// scan is proven against. Same cursor, same stats, same cost model.
-    pub fn scan_process_scalar(&mut self, machine: &mut Machine, pid: Pid) {
-        self.scan_process_impl(machine, pid, false, None);
+        self.scan_process_impl(machine, pid, None);
     }
 
     /// Scan one process with an explicit per-unit PTE budget overriding
@@ -215,14 +187,13 @@ impl ABitScanner {
     /// (another unit is needed to keep covering the address space this
     /// interval); `false` once the walk reached the end and wrapped.
     pub fn scan_process_unit(&mut self, machine: &mut Machine, pid: Pid, budget: u64) -> bool {
-        self.scan_process_impl(machine, pid, true, Some(budget))
+        self.scan_process_impl(machine, pid, Some(budget))
     }
 
     fn scan_process_impl(
         &mut self,
         machine: &mut Machine,
         pid: Pid,
-        packed: bool,
         unit_budget: Option<u64>,
     ) -> bool {
         if !self.enabled {
@@ -246,7 +217,7 @@ impl ABitScanner {
             return false;
         };
         let heat = &mut self.heat;
-        let mut observe = |vpn: Vpn, pte: &mut tmprof_sim::pte::Pte| {
+        let observe = |vpn: Vpn, pte: &mut tmprof_sim::pte::Pte| {
             if pte.test_and_clear_accessed() {
                 let pfn = pte.pfn();
                 descs.bump_abit(pfn, epoch);
@@ -259,13 +230,7 @@ impl ABitScanner {
                 }
             }
         };
-        let (fp, resume) = if packed && self.hier {
-            pt.hier_scan_accessed_bounded(start, budget, &mut observe)
-        } else if packed {
-            pt.scan_accessed_bounded(start, budget, &mut observe)
-        } else {
-            pt.walk_present_bounded(start, budget, &mut observe)
-        };
+        let (fp, resume) = pt.hier_scan_accessed_bounded(start, budget, observe);
         // Wrap the cursor when the walk reaches the end of the table. If
         // the budget was larger than the resident set, the next scan starts
         // from the top anyway.
@@ -307,15 +272,7 @@ impl ABitScanner {
 
     /// Pages observed this epoch; clears the per-epoch set.
     pub fn take_epoch_pages(&mut self) -> PageSet {
-        PageSet::from_unsorted(self.take_epoch_pages_raw())
-    }
-
-    /// The raw (unsorted, possibly duplicated) packed keys observed this
-    /// epoch; clears the per-epoch buffer. The overlapped epoch pipeline
-    /// takes this cheap handoff on the main thread and defers the
-    /// sort/dedup into a [`PageSet`] to the worker.
-    pub fn take_epoch_pages_raw(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.epoch_pages)
+        PageSet::from_unsorted(std::mem::take(&mut self.epoch_pages))
     }
 
     /// Pages observed over the whole run (Table IV "A bit" column).
@@ -468,9 +425,10 @@ mod tests {
 
     #[test]
     fn hier_scan_matches_flat_scan_at_the_scanner_layer() {
-        // Same machine state, same budgeted scan sequence — the
-        // hierarchical traversal must produce identical observations,
-        // cursors, stats, and charged cycles.
+        // Same machine state, same budgeted scan sequence: the scanner
+        // must produce the observations, cursors, descriptor bumps and
+        // charged cycles of a flat per-PTE walk built from the machine's
+        // public scan borrows.
         let big = || {
             let mut m = Machine::new(MachineConfig::scaled(2, 512, 8192, 1 << 20));
             m.add_process(1);
@@ -487,23 +445,35 @@ mod tests {
             m.shootdown(1, &(0..300).map(Vpn).collect::<Vec<_>>(), false);
             touch_pages(m, 300);
         }
-        let mut flat = ABitScanner::new(ABitConfig::default().with_budget(700)).with_hier(false);
-        let mut hier = ABitScanner::new(ABitConfig::default().with_budget(700)).with_hier(true);
-        assert!(hier.hier() && !flat.hier());
-        for _ in 0..12 {
-            flat.scan_process(&mut flat_m, 1);
+        let budget = 700;
+        let mut hier = ABitScanner::new(ABitConfig::default().with_budget(budget));
+        let (mut cursor, mut flat_seen, mut flat_visited) = (Vpn(0), Vec::new(), 0);
+        let warmup_cycles = flat_m.aggregate_counts().profiling_cycles;
+        for scan in 0..12 {
             hier.scan_process(&mut hier_m, 1);
+            let (pt, descs, epoch) = flat_m.scan_parts(1).unwrap();
+            let (fp, resume) = pt.walk_present_bounded(cursor, budget, |vpn, pte| {
+                if pte.test_and_clear_accessed() {
+                    descs.bump_abit(pte.pfn(), epoch);
+                    flat_seen.push(PageKey { pid: 1, vpn }.pack());
+                }
+            });
+            cursor = resume.unwrap_or(Vpn(0));
+            flat_visited += fp.ptes_visited;
+            let cost = fp.ptes_visited * flat_m.config().latency.pte_visit;
+            flat_m.charge_profiling(scan % flat_m.num_cores(), cost);
         }
-        assert_eq!(flat.stats().observations, hier.stats().observations);
-        assert_eq!(flat.stats().ptes_visited, hier.stats().ptes_visited);
-        assert_eq!(flat.stats().overhead_cycles, hier.stats().overhead_cycles);
+        let flat_pages = PageSet::from_unsorted(flat_seen.clone());
+        assert_eq!(hier.stats().observations, flat_seen.len() as u64);
+        assert_eq!(hier.stats().ptes_visited, flat_visited);
         assert_eq!(
-            flat.seen_pages().iter().count(),
-            hier.seen_pages().iter().count()
+            hier.seen_pages().iter().collect::<Vec<_>>(),
+            flat_pages.iter().collect::<Vec<_>>()
         );
+        assert_eq!(hier_m.aggregate_counts(), flat_m.aggregate_counts());
         assert_eq!(
-            flat_m.aggregate_counts().profiling_cycles,
-            hier_m.aggregate_counts().profiling_cycles
+            hier.stats().overhead_cycles,
+            flat_m.aggregate_counts().profiling_cycles - warmup_cycles
         );
     }
 

@@ -231,15 +231,7 @@ impl TraceProfiler {
 
     /// Pages detected this epoch; clears the per-epoch set.
     pub fn take_epoch_pages(&mut self) -> PageSet {
-        PageSet::from_unsorted(self.take_epoch_pages_raw())
-    }
-
-    /// The raw (unsorted, possibly duplicated) packed keys detected this
-    /// epoch; clears the per-epoch buffer. See
-    /// `ABitScanner::take_epoch_pages_raw` — same overlapped-pipeline
-    /// handoff.
-    pub fn take_epoch_pages_raw(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.epoch_pages)
+        PageSet::from_unsorted(std::mem::take(&mut self.epoch_pages))
     }
 
     /// Pages detected over the whole run (Table IV "IBS" column).

@@ -1,35 +1,36 @@
-//! Property suite: the packed word-wise A/D-bit scan AND the hierarchical
-//! subtree-skipping scan are bit-for-bit equivalent to the scalar per-PTE
-//! reference walk.
+//! Property suite: the A-bit scan (`hier_scan_accessed_bounded`, with its
+//! word-wise leaf scan and subtree skipping) is bit-for-bit equivalent to
+//! the per-PTE reference walk `walk_present_bounded` with a
+//! test-and-clear of the A bit.
 //!
 //! Two layers of the claim are held under random page-table histories
 //! (map / unmap / huge-map conflicts / huge-unmap / touches / migrations,
 //! deliberately straddling 64-entry word and 512-entry leaf boundaries):
 //!
-//! * **Page-table layer**: `scan_accessed_bounded` / `scan_dirty_bounded`
-//!   and their `hier_*` counterparts report the same observations (in the
+//! * **Page-table layer**: the scan reports the same observations (in the
 //!   same order), the same walk footprint, the same resume cursor, and
-//!   leave the table in the same final state as `walk_present_bounded`
-//!   with the test-and-clear done per PTE — across a full budgeted cursor
-//!   cycle.
-//! * **Scanner layer**: `ABitScanner::scan_process` in both flat-packed
-//!   and hierarchical (`with_hier`) modes and
-//!   `ABitScanner::scan_process_scalar` produce identical epoch pages,
-//!   heat points, stats, shootdowns, charged cycles, and residual A bits
-//!   on identically-driven machines — including when the modes alternate
-//!   scan-by-scan on the same machine.
+//!   leaves the table in the same final state as the reference walk —
+//!   across a full budgeted cursor cycle, and when scans and walks
+//!   interleave on one table (the mix the A-bit driver and AutoNUMA's
+//!   `walk_present_bounded` passes really produce).
+//! * **Scanner layer**: `ABitScanner::scan_process` produces the epoch
+//!   pages, heat points, stats, shootdowns, charged cycles, and residual
+//!   A bits of a reference scanner written here from `Machine::scan_parts`
+//!   and `walk_present_bounded`, on identically-driven machines.
 //!
 //! The regression block at the bottom pins the historically dangerous
 //! cases: word/leaf straddles, huge conflicts under budget-1 cursors, and
-//! cold interior nodes whose summary bits are stale-set (the hierarchical
-//! scan must descend, find nothing, and charge the identical footprint).
+//! cold interior nodes whose summary bits are stale-set (the scan must
+//! descend, find nothing, and charge the identical footprint).
 
 use proptest::prelude::*;
 
-use tmprof_profilers::abit::{ABitConfig, ABitScanner};
+use tmprof_profilers::abit::{ABitConfig, ABitScanner, ABitStats, AbitHeatPoint};
 use tmprof_sim::addr::{Pfn, Vpn};
+use tmprof_sim::keymap::PageSet;
 use tmprof_sim::machine::{Machine, MachineConfig};
-use tmprof_sim::pagetable::{PageTable, HUGE_SPAN};
+use tmprof_sim::pagedesc::PageKey;
+use tmprof_sim::pagetable::{PageTable, WalkFootprint, HUGE_SPAN};
 use tmprof_sim::pte::{bits, Pte};
 
 const LEAF: u64 = HUGE_SPAN; // 512 entries per leaf table
@@ -154,80 +155,59 @@ fn snapshot(pt: &mut PageTable) -> Vec<(Vpn, Pte)> {
     out
 }
 
-/// Run a full budgeted cursor cycle of the packed scan on `packed`, the
-/// hierarchical scan on `hier`, and the scalar reference on `scalar`,
-/// asserting per-round three-way equivalence of observations, footprints,
-/// and resume cursors.
-fn assert_cycle_equivalent(
-    packed: &mut PageTable,
-    hier: &mut PageTable,
-    scalar: &mut PageTable,
-    budget: u64,
-    dirty_bit: bool,
-) {
+/// What one budgeted pass reports: hits, footprint, resume cursor.
+type PassResult = (Vec<Vpn>, WalkFootprint, Option<Vpn>);
+
+/// One budgeted pass of the A-bit scan.
+fn scan_pass(pt: &mut PageTable, start: Vpn, budget: u64) -> PassResult {
+    // The candidate bitmaps are conservative supersets, so a visited page
+    // is not guaranteed hot — the in-closure test_and_clear is the
+    // authoritative check, exactly as the scanner driver does it.
+    let mut hits = Vec::new();
+    let (fp, resume) = pt.hier_scan_accessed_bounded(start, budget, |vpn, pte| {
+        if pte.test_and_clear_accessed() {
+            hits.push(vpn);
+        }
+    });
+    (hits, fp, resume)
+}
+
+/// The same pass done by the reference walk, test-and-clearing every PTE.
+fn walk_pass(pt: &mut PageTable, start: Vpn, budget: u64) -> PassResult {
+    let mut hits = Vec::new();
+    let (fp, resume) = pt.walk_present_bounded(start, budget, |vpn, pte| {
+        if pte.test_and_clear_accessed() {
+            hits.push(vpn);
+        }
+    });
+    (hits, fp, resume)
+}
+
+/// Two tables driven through the same history.
+fn table_pair(ops: &[TableOp]) -> (PageTable, PageTable) {
+    let mut scanned = PageTable::new();
+    let mut walked = PageTable::new();
+    for &op in ops {
+        apply(&mut scanned, op);
+        apply(&mut walked, op);
+    }
+    (scanned, walked)
+}
+
+/// Run a full budgeted cursor cycle of the scan on `scanned` and of the
+/// reference walk on `walked`, asserting per-round equivalence of
+/// observations, footprints, and resume cursors.
+fn assert_cycle_equivalent(scanned: &mut PageTable, walked: &mut PageTable, budget: u64) {
     let mut cursor = Vpn(0);
     // A table of N pages finishes in ceil(N/budget)+1 rounds; anything
     // longer means a cursor livelock.
     for round in 0..(4 * LEAF / budget.min(4 * LEAF) + 2) {
-        // The candidate bitmaps are conservative supersets, so a visited
-        // page is not guaranteed hot — the in-closure test_and_clear is
-        // the authoritative check, exactly as the scanner driver does it.
-        let mut hits_p: Vec<Vpn> = Vec::new();
-        let (fp_p, resume_p) = if dirty_bit {
-            packed.scan_dirty_bounded(cursor, budget, |vpn, pte| {
-                if pte.test_and_clear_dirty() {
-                    hits_p.push(vpn);
-                }
-            })
-        } else {
-            packed.scan_accessed_bounded(cursor, budget, |vpn, pte| {
-                if pte.test_and_clear_accessed() {
-                    hits_p.push(vpn);
-                }
-            })
-        };
-
-        let mut hits_h: Vec<Vpn> = Vec::new();
-        let (fp_h, resume_h) = if dirty_bit {
-            hier.hier_scan_dirty_bounded(cursor, budget, |vpn, pte| {
-                if pte.test_and_clear_dirty() {
-                    hits_h.push(vpn);
-                }
-            })
-        } else {
-            hier.hier_scan_accessed_bounded(cursor, budget, |vpn, pte| {
-                if pte.test_and_clear_accessed() {
-                    hits_h.push(vpn);
-                }
-            })
-        };
-
-        let mut hits_s: Vec<Vpn> = Vec::new();
-        let (fp_s, resume_s) = scalar.walk_present_bounded(cursor, budget, |vpn, pte| {
-            let hit = if dirty_bit {
-                pte.test_and_clear_dirty()
-            } else {
-                pte.test_and_clear_accessed()
-            };
-            if hit {
-                hits_s.push(vpn);
-            }
-        });
-
-        assert_eq!(hits_p, hits_s, "round {round} observations diverged");
-        assert_eq!(hits_h, hits_s, "round {round} hier observations diverged");
-        assert_eq!(
-            fp_p.ptes_visited, fp_s.ptes_visited,
-            "round {round} footprint diverged"
-        );
-        assert_eq!(
-            fp_p.leaf_tables, fp_s.leaf_tables,
-            "round {round} leaf count diverged"
-        );
-        assert_eq!(fp_h, fp_p, "round {round} hier footprint diverged");
-        assert_eq!(resume_p, resume_s, "round {round} resume cursor diverged");
-        assert_eq!(resume_h, resume_s, "round {round} hier cursor diverged");
-        match resume_p {
+        let (hits_s, fp_s, resume_s) = scan_pass(scanned, cursor, budget);
+        let (hits_w, fp_w, resume_w) = walk_pass(walked, cursor, budget);
+        assert_eq!(hits_s, hits_w, "round {round} observations diverged");
+        assert_eq!(fp_s, fp_w, "round {round} footprint diverged");
+        assert_eq!(resume_s, resume_w, "round {round} resume cursor diverged");
+        match resume_s {
             Some(next) => cursor = next,
             None => return,
         }
@@ -235,136 +215,242 @@ fn assert_cycle_equivalent(
     panic!("cursor cycle did not terminate");
 }
 
+/// One step of a mixed scan/walk sequence on a single table.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// A budgeted A-bit pass from the shared cursor: the scan when `hier`
+    /// is set, the reference walk otherwise.
+    Pass { hier: bool },
+    /// A full walk whose closure sets the A bit on every `modulus`-th
+    /// page — a foreign walker changing bits under the scan's summaries.
+    SetAWalk { modulus: u64 },
+    /// A page-table mutation between passes.
+    Op(TableOp),
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        4 => any::<bool>().prop_map(|hier| Step::Pass { hier }),
+        1 => (1u64..8).prop_map(|modulus| Step::SetAWalk { modulus }),
+        3 => op_strategy().prop_map(Step::Op),
+    ]
+}
+
+/// Run `steps` on a table built from `ops`, with every `Pass` forced to
+/// the reference walk when `all_walk` is set. Returns each pass's result
+/// and the final table snapshot.
+fn run_steps(
+    ops: &[TableOp],
+    steps: &[Step],
+    budget: u64,
+    all_walk: bool,
+) -> (Vec<PassResult>, Vec<(Vpn, Pte)>) {
+    let mut pt = PageTable::new();
+    for &op in ops {
+        apply(&mut pt, op);
+    }
+    let mut cursor = Vpn(0);
+    let mut passes = Vec::new();
+    for &step in steps {
+        match step {
+            Step::Pass { hier } => {
+                let pass = if hier && !all_walk {
+                    scan_pass(&mut pt, cursor, budget)
+                } else {
+                    walk_pass(&mut pt, cursor, budget)
+                };
+                cursor = pass.2.unwrap_or(Vpn(0));
+                passes.push(pass);
+            }
+            Step::SetAWalk { modulus } => {
+                pt.walk_present(|vpn, pte| {
+                    if vpn.0 % modulus == 0 {
+                        pte.set(bits::A);
+                    }
+                });
+            }
+            Step::Op(op) => apply(&mut pt, op),
+        }
+    }
+    (passes, snapshot(&mut pt))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Page-table layer: packed A-bit and D-bit scans match the scalar
-    /// walk round-for-round and leave identical final tables.
+    /// Page-table layer: the scan matches the reference walk
+    /// round-for-round and leaves an identical final table. The second
+    /// cycle runs on the summaries the first tightened, where whole cold
+    /// subtrees are pruned unless the budget runs out inside them.
     #[test]
     fn packed_scan_cycle_matches_scalar_walk(
         ops in prop::collection::vec(op_strategy(), 0..150),
         budget in 1u64..200,
-        dirty_bit in any::<bool>(),
     ) {
-        let mut packed = PageTable::new();
-        let mut hier = PageTable::new();
-        let mut scalar = PageTable::new();
-        for &op in &ops {
-            apply(&mut packed, op);
-            apply(&mut hier, op);
-            apply(&mut scalar, op);
-        }
-        assert_cycle_equivalent(&mut packed, &mut hier, &mut scalar, budget, dirty_bit);
-        prop_assert_eq!(snapshot(&mut packed), snapshot(&mut scalar), "final tables diverged");
-        prop_assert_eq!(snapshot(&mut hier), snapshot(&mut scalar), "final hier table diverged");
+        let (mut scanned, mut walked) = table_pair(&ops);
+        assert_cycle_equivalent(&mut scanned, &mut walked, budget);
+        assert_cycle_equivalent(&mut scanned, &mut walked, budget);
+        prop_assert_eq!(snapshot(&mut scanned), snapshot(&mut walked), "final tables diverged");
     }
 
-    /// Unbounded single pass: same equivalence without cursor mechanics.
+    /// Unbounded passes: same equivalence without cursor mechanics, twice
+    /// over so the second pass runs on summaries the first tightened.
     #[test]
     fn packed_scan_unbounded_matches_scalar_walk(
         ops in prop::collection::vec(op_strategy(), 0..150),
     ) {
-        let mut packed = PageTable::new();
-        let mut hier = PageTable::new();
-        let mut scalar = PageTable::new();
-        for &op in &ops {
-            apply(&mut packed, op);
-            apply(&mut hier, op);
-            apply(&mut scalar, op);
-        }
-        assert_cycle_equivalent(&mut packed, &mut hier, &mut scalar, u64::MAX, false);
-        assert_cycle_equivalent(&mut packed, &mut hier, &mut scalar, u64::MAX, true);
-        prop_assert_eq!(snapshot(&mut packed), snapshot(&mut scalar));
-        prop_assert_eq!(snapshot(&mut hier), snapshot(&mut scalar));
+        let (mut scanned, mut walked) = table_pair(&ops);
+        assert_cycle_equivalent(&mut scanned, &mut walked, u64::MAX);
+        assert_cycle_equivalent(&mut scanned, &mut walked, u64::MAX);
+        prop_assert_eq!(snapshot(&mut scanned), snapshot(&mut walked));
+    }
+
+    /// Interleaving: a random mix of scans, reference walks, bit-setting
+    /// foreign walks, and table mutations on ONE table equals the same
+    /// sequence with every scan replaced by the reference walk — the two
+    /// traversals are interchangeable mid-run because each leaves the
+    /// same table state, summaries included, and the same cursor behind.
+    #[test]
+    fn interleaved_scan_modes_match_scalar_sequence(
+        ops in prop::collection::vec(op_strategy(), 0..120),
+        steps in prop::collection::vec(step_strategy(), 1..16),
+        budget in prop_oneof![Just(u64::MAX), 1u64..300],
+    ) {
+        let (mixed, mixed_table) = run_steps(&ops, &steps, budget, false);
+        let (walked, walked_table) = run_steps(&ops, &steps, budget, true);
+        prop_assert_eq!(mixed, walked, "pass results diverged");
+        prop_assert_eq!(mixed_table, walked_table, "final tables diverged");
     }
 }
 
-/// Which traversal the scanner uses for a scan.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ScanMode {
-    /// `scan_process_scalar`: the per-PTE reference walk.
-    Scalar,
-    /// `scan_process` with the flat word-packed leaf scan.
-    Packed,
-    /// `scan_process` with hierarchical subtree skipping.
-    Hier,
+/// A reference A-bit scanner written against the machine's public scan
+/// borrows: the driver of `ABitScanner::scan_process` with the per-PTE
+/// walk in place of the scan.
+struct RefScanner {
+    cfg: ABitConfig,
+    cursor: Vpn,
+    epoch_pages: Vec<u64>,
+    heat: Vec<AbitHeatPoint>,
+    stats: ABitStats,
+    charge_core: usize,
 }
 
-/// A machine whose page table was driven through `ops`, plus the scanner
-/// run over it once per entry of `modes` using that entry's traversal.
-fn run_scanner(ops: &[TableOp], cfg: ABitConfig, modes: &[ScanMode]) -> (Machine, ABitScanner) {
+impl RefScanner {
+    fn new(cfg: ABitConfig) -> Self {
+        Self {
+            cfg,
+            cursor: Vpn(0),
+            epoch_pages: Vec::new(),
+            heat: Vec::new(),
+            stats: ABitStats::default(),
+            charge_core: 0,
+        }
+    }
+
+    fn scan(&mut self, m: &mut Machine, pid: u32) {
+        let budget = self.cfg.scan_budget.unwrap_or(u64::MAX);
+        let start = if self.cfg.restart_each_scan {
+            Vpn(0)
+        } else {
+            self.cursor
+        };
+        let (record, shootdown) = (self.cfg.record_samples, self.cfg.shootdown);
+        let (mut keys, mut vpns) = (Vec::new(), Vec::new());
+        let (pt, descs, epoch) = m.scan_parts(pid).expect("pid exists");
+        let heat = &mut self.heat;
+        let (fp, resume) = pt.walk_present_bounded(start, budget, |vpn, pte| {
+            if pte.test_and_clear_accessed() {
+                descs.bump_abit(pte.pfn(), epoch);
+                keys.push(PageKey { pid, vpn }.pack());
+                if record {
+                    heat.push(AbitHeatPoint {
+                        epoch,
+                        pfn: pte.pfn(),
+                    });
+                }
+                if shootdown {
+                    vpns.push(vpn);
+                }
+            }
+        });
+        self.cursor = resume.unwrap_or(Vpn(0));
+        let cost = fp.ptes_visited * m.config().latency.pte_visit;
+        m.charge_profiling(self.charge_core % m.num_cores(), cost);
+        self.charge_core += 1;
+        self.stats.scans += 1;
+        self.stats.ptes_visited += fp.ptes_visited;
+        self.stats.observations += keys.len() as u64;
+        self.stats.overhead_cycles += cost;
+        self.epoch_pages.extend(keys);
+        if !vpns.is_empty() {
+            self.stats.overhead_cycles += m.shootdown(pid, &vpns, true);
+            self.stats.shootdowns += 1;
+        }
+    }
+}
+
+/// A machine whose page table was driven through `ops`.
+fn machine_with(ops: &[TableOp]) -> Machine {
     let mut m = Machine::new(MachineConfig::scaled(2, 4096, 4096, 1 << 20));
     m.add_process(1);
-    {
-        let (pt, _, _) = m.scan_parts(1).expect("pid 1 exists");
-        for &op in ops {
-            apply(pt, op);
-        }
+    let (pt, _, _) = m.scan_parts(1).expect("pid 1 exists");
+    for &op in ops {
+        apply(pt, op);
     }
-    let mut sc = ABitScanner::new(cfg);
-    for &mode in modes {
-        sc = sc.with_hier(mode == ScanMode::Hier);
-        match mode {
-            ScanMode::Scalar => sc.scan_process_scalar(&mut m, 1),
-            ScanMode::Packed | ScanMode::Hier => sc.scan_process(&mut m, 1),
-        }
-    }
-    (m, sc)
+    m
 }
 
-/// Assert that running `modes` produces every observable identical to the
-/// all-scalar reference sequence of the same length.
-fn assert_modes_match_scalar(ops: &[TableOp], cfg: ABitConfig, modes: &[ScanMode]) {
-    let (mut mp, mut sp) = run_scanner(ops, cfg, modes);
-    let scalar_modes = vec![ScanMode::Scalar; modes.len()];
-    let (mut ms, mut ss) = run_scanner(ops, cfg, &scalar_modes);
+/// Assert that `scans` runs of `ABitScanner` produce every observable of
+/// the same number of reference-scanner runs.
+fn assert_scanners_equivalent(ops: &[TableOp], cfg: ABitConfig, scans: u32) {
+    let (mut m_scan, mut m_ref) = (machine_with(ops), machine_with(ops));
+    let mut scanner = ABitScanner::new(cfg);
+    let mut reference = RefScanner::new(cfg);
+    for _ in 0..scans {
+        scanner.scan_process(&mut m_scan, 1);
+        reference.scan(&mut m_ref, 1);
+    }
 
+    let ref_pages = PageSet::from_unsorted(reference.epoch_pages.clone());
     assert_eq!(
-        sp.take_epoch_pages_raw(),
-        ss.take_epoch_pages_raw(),
-        "epoch pages diverged ({modes:?})"
+        scanner.take_epoch_pages().iter().collect::<Vec<_>>(),
+        ref_pages.iter().collect::<Vec<_>>(),
+        "epoch pages diverged"
     );
     assert_eq!(
-        sp.seen_pages().iter().collect::<Vec<_>>(),
-        ss.seen_pages().iter().collect::<Vec<_>>(),
-        "seen pages diverged ({modes:?})"
+        scanner.seen_pages().iter().collect::<Vec<_>>(),
+        ref_pages.iter().collect::<Vec<_>>(),
+        "seen pages diverged"
     );
-    assert_eq!(sp.heat_points(), ss.heat_points(), "heat points diverged");
+    assert_eq!(
+        scanner.heat_points(),
+        &reference.heat[..],
+        "heat points diverged"
+    );
 
-    let (a, b) = (sp.stats(), ss.stats());
+    let (a, b) = (scanner.stats(), reference.stats);
     assert_eq!(a.scans, b.scans);
-    assert_eq!(
-        a.ptes_visited, b.ptes_visited,
-        "footprint diverged ({modes:?})"
-    );
+    assert_eq!(a.ptes_visited, b.ptes_visited, "footprint diverged");
     assert_eq!(a.observations, b.observations);
     assert_eq!(a.shootdowns, b.shootdowns);
     assert_eq!(
         a.overhead_cycles, b.overhead_cycles,
-        "charged cost diverged ({modes:?})"
+        "charged cost diverged"
     );
-    assert_eq!(
-        mp.aggregate_counts().profiling_cycles,
-        ms.aggregate_counts().profiling_cycles
-    );
+    assert_eq!(m_scan.aggregate_counts(), m_ref.aggregate_counts());
 
     // Residual A/D bits and translations agree exactly.
-    let snap_p = snapshot(mp.scan_parts(1).expect("pid 1").0);
-    let snap_s = snapshot(ms.scan_parts(1).expect("pid 1").0);
-    assert_eq!(snap_p, snap_s, "final page tables diverged ({modes:?})");
-}
-
-fn assert_scanners_equivalent(ops: &[TableOp], cfg: ABitConfig, scans: u32) {
-    assert_modes_match_scalar(ops, cfg, &vec![ScanMode::Packed; scans as usize]);
-    assert_modes_match_scalar(ops, cfg, &vec![ScanMode::Hier; scans as usize]);
+    let snap_s = snapshot(m_scan.scan_parts(1).expect("pid 1").0);
+    let snap_r = snapshot(m_ref.scan_parts(1).expect("pid 1").0);
+    assert_eq!(snap_s, snap_r, "final page tables diverged");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Scanner layer: packed `scan_process` == `scan_process_scalar` for
-    /// every observable (epoch pages, heat, stats, cost, residual bits)
-    /// across multiple budgeted scans of random tables.
+    /// Scanner layer: `scan_process` == the reference scanner for every
+    /// observable (epoch pages, heat, stats, cost, residual bits) across
+    /// multiple budgeted scans of random tables.
     #[test]
     fn packed_scanner_matches_scalar_scanner(
         ops in prop::collection::vec(op_strategy(), 0..120),
@@ -381,32 +467,13 @@ proptest! {
         };
         assert_scanners_equivalent(&ops, cfg, scans);
     }
+}
 
-    /// Mode-interleaving: a random sequence of scalar/packed/hier scans on
-    /// ONE machine equals the all-scalar sequence — the traversals are
-    /// interchangeable mid-run because each leaves identical table state
-    /// and cursor behind.
-    #[test]
-    fn interleaved_scan_modes_match_scalar_sequence(
-        ops in prop::collection::vec(op_strategy(), 0..120),
-        budget in prop_oneof![Just(None), (1u64..300).prop_map(Some)],
-        modes in prop::collection::vec(
-            prop_oneof![
-                Just(ScanMode::Scalar),
-                Just(ScanMode::Packed),
-                Just(ScanMode::Hier),
-            ],
-            1..6,
-        ),
-    ) {
-        let cfg = ABitConfig {
-            shootdown: false,
-            scan_budget: budget,
-            restart_each_scan: false,
-            record_samples: true,
-        };
-        assert_modes_match_scalar(&ops, cfg, &modes);
-    }
+/// Both layers of the claim for one history and budget.
+fn assert_both_layers(ops: &[TableOp], budget: u64, scans: u32) {
+    assert_scanners_equivalent(ops, ABitConfig::default().with_budget(budget), scans);
+    let (mut scanned, mut walked) = table_pair(ops);
+    assert_cycle_equivalent(&mut scanned, &mut walked, budget);
 }
 
 /// Word-boundary regression: a run of pages straddling the 64-entry word
@@ -420,17 +487,7 @@ fn word_boundary_straddle_scans_identically() {
             dirty: vpn % 2 == 0,
         })
         .collect();
-    assert_scanners_equivalent(&ops, ABitConfig::default().with_budget(5), 4);
-
-    let mut packed = PageTable::new();
-    let mut hier = PageTable::new();
-    let mut scalar = PageTable::new();
-    for &op in &ops {
-        apply(&mut packed, op);
-        apply(&mut hier, op);
-        apply(&mut scalar, op);
-    }
-    assert_cycle_equivalent(&mut packed, &mut hier, &mut scalar, 5, false);
+    assert_both_layers(&ops, 5, 4);
 }
 
 /// Partial-last-word regression: the leaf's final word is only partially
@@ -450,17 +507,7 @@ fn partial_last_word_scans_identically() {
         accessed: true,
         dirty: false,
     }));
-    assert_scanners_equivalent(&ops, ABitConfig::default().with_budget(7), 12);
-
-    let mut packed = PageTable::new();
-    let mut hier = PageTable::new();
-    let mut scalar = PageTable::new();
-    for &op in &ops {
-        apply(&mut packed, op);
-        apply(&mut hier, op);
-        apply(&mut scalar, op);
-    }
-    assert_cycle_equivalent(&mut packed, &mut hier, &mut scalar, 7, false);
+    assert_both_layers(&ops, 7, 12);
 }
 
 /// Huge-page conflict regression: a huge mapping that loses to existing
@@ -497,24 +544,14 @@ fn huge_conflict_and_mid_span_cursor_scan_identically() {
     ];
     // Budget 1 forces the cursor to stop right before (and resume at) the
     // huge entry repeatedly — the historical footprint-drift spot.
-    assert_scanners_equivalent(&ops, ABitConfig::default().with_budget(1), 6);
-
-    let mut packed = PageTable::new();
-    let mut hier = PageTable::new();
-    let mut scalar = PageTable::new();
-    for &op in &ops {
-        apply(&mut packed, op);
-        apply(&mut hier, op);
-        apply(&mut scalar, op);
-    }
-    assert_cycle_equivalent(&mut packed, &mut hier, &mut scalar, 1, false);
+    assert_both_layers(&ops, 1, 6);
 }
 
 /// Cold-interior-node-with-stale-summary-bit regression: unmapping every
 /// page of a subtree leaves its interior summary bits stale-SET (unmap
-/// does not recompute summaries). The hierarchical scan must descend the
-/// stale-flagged subtree, find nothing, and still report the exact same
-/// footprint, observations, and cursor as the flat scan and scalar walk.
+/// does not recompute summaries). The scan must descend the stale-flagged
+/// subtree, find nothing, and still report the exact same footprint,
+/// observations, and cursor as the reference walk.
 #[test]
 fn stale_set_summary_over_cold_subtree_scans_identically() {
     let mut ops: Vec<TableOp> = Vec::new();
@@ -540,28 +577,12 @@ fn stale_set_summary_over_cold_subtree_scans_identically() {
         });
     }
     for budget in [1, 7, 64, u64::MAX] {
-        let mut packed = PageTable::new();
-        let mut hier = PageTable::new();
-        let mut scalar = PageTable::new();
-        for &op in &ops {
-            apply(&mut packed, op);
-            apply(&mut hier, op);
-            apply(&mut scalar, op);
-        }
-        assert_cycle_equivalent(&mut packed, &mut hier, &mut scalar, budget, false);
+        let (mut scanned, mut walked) = table_pair(&ops);
+        assert_cycle_equivalent(&mut scanned, &mut walked, budget);
     }
-    assert_scanners_equivalent(&ops, ABitConfig::default().with_budget(16), 8);
     // After the first full sweep cleared every A bit, the summaries over
     // the surviving leaves are stale-set too; rescanning is the pure
     // stale-summary case and must also agree.
-    assert_modes_match_scalar(
-        &ops,
-        ABitConfig::unbounded(),
-        &[
-            ScanMode::Hier,
-            ScanMode::Hier,
-            ScanMode::Scalar,
-            ScanMode::Hier,
-        ],
-    );
+    assert_scanners_equivalent(&ops, ABitConfig::default().with_budget(16), 8);
+    assert_scanners_equivalent(&ops, ABitConfig::unbounded(), 4);
 }
