@@ -8,7 +8,7 @@
 //! Ryzen 5 3600X: 32 KiB 8-way L1D, 512 KiB 8-way private L2, and a 32 MiB
 //! 16-way shared LLC, all with 64 B lines.
 
-use crate::addr::{PhysAddr, LINE_SHIFT};
+use crate::addr::{PhysAddr, LINE_SHIFT, PAGE_SHIFT};
 
 /// Which level of the cache hierarchy served an access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -23,20 +23,38 @@ pub enum CacheLevel {
     Memory,
 }
 
+/// Tag of a way that holds no line. Line numbers are physical addresses
+/// shifted right by [`LINE_SHIFT`], so no real line can reach it.
+const INVALID_TAG: u64 = u64::MAX;
+
+/// Shift from a line number to its 4 KiB page, and lines per page.
+const PAGE_LINE_SHIFT: u32 = PAGE_SHIFT - LINE_SHIFT;
+const LINES_PER_PAGE: usize = 1 << PAGE_LINE_SHIFT;
+
+/// One way of a set: 16 bytes, so an 8-way set spans two host cache lines.
+///
+/// `tag` is the cached line number, or [`INVALID_TAG`] when the way is
+/// empty. `meta` packs the LRU stamp above the dirty bit
+/// (`stamp << 1 | dirty`). Every probe and fill takes a fresh stamp, so the
+/// stamps of a set's ways are distinct and the way with the smallest `meta`
+/// is the least recently used one.
 #[derive(Clone, Copy)]
-struct Line {
+struct Way {
     tag: u64,
-    stamp: u64,
-    valid: bool,
-    dirty: bool,
+    meta: u64,
 }
 
-const INVALID_LINE: Line = Line {
-    tag: 0,
-    stamp: 0,
-    valid: false,
-    dirty: false,
+const EMPTY_WAY: Way = Way {
+    tag: INVALID_TAG,
+    meta: 0,
 };
+
+impl Way {
+    #[inline]
+    fn dirty(self) -> bool {
+        self.meta & 1 != 0
+    }
+}
 
 /// Result of a single-level probe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,14 +65,17 @@ pub struct FillOutcome {
 
 /// One set-associative, write-back, write-allocate cache with true LRU.
 ///
-/// Lines are tracked by *physical* line number, so page migration (which
-/// changes a page's physical address) naturally invalidates nothing but maps
-/// the page to cold lines — the same effect real migration has.
+/// Lines are tracked by *physical* line number in a flat array of 16-byte
+/// ways, set after set. A migrating page changes physical address, so
+/// [`Cache::invalidate_page_lines`] drops both of its frames' lines in one
+/// pass (the copy leaves the new location cold, as on real hardware). A
+/// page's 64 lines map to 64 consecutive sets, so the pass covers just
+/// those sets, or the whole array when the cache has fewer than 64 sets.
 pub struct Cache {
     name: &'static str,
     sets: usize,
     ways: usize,
-    lines: Vec<Line>,
+    slots: Vec<Way>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -75,7 +96,7 @@ impl Cache {
             name,
             sets,
             ways,
-            lines: vec![INVALID_LINE; sets * ways],
+            slots: vec![EMPTY_WAY; sets * ways],
             clock: 0,
             hits: 0,
             misses: 0,
@@ -110,17 +131,13 @@ impl Cache {
     }
 
     /// Probe for `line`; on a hit, refresh LRU and (for stores) mark dirty.
-    // tmprof-lint: allow(panic-reachability) — set_range masks the set index to sets - 1 and slices exactly `ways` lines
+    // tmprof-lint: allow(panic-reachability) — set_range masks the set index to sets - 1 and slices exactly `ways` ways
     pub fn probe(&mut self, line: u64, is_store: bool) -> bool {
         self.clock += 1;
         let clock = self.clock;
         let range = self.set_range(line);
-        if let Some(slot) = self.lines[range]
-            .iter_mut()
-            .find(|l| l.valid && l.tag == line)
-        {
-            slot.stamp = clock;
-            slot.dirty |= is_store;
+        if let Some(way) = self.slots[range].iter_mut().find(|w| w.tag == line) {
+            way.meta = clock << 1 | (way.meta & 1) | u64::from(is_store);
             self.hits += 1;
             true
         } else {
@@ -129,25 +146,24 @@ impl Cache {
         }
     }
 
-    /// Install `line` after a miss, evicting the LRU way.
-    // tmprof-lint: allow(panic-reachability) — set_range masks the set index to sets - 1 and slices exactly `ways` lines
+    /// Install `line` after a miss: into the first empty way, else over the
+    /// least recently used one.
+    // tmprof-lint: allow(panic-reachability) — set_range masks the set index to sets - 1 and slices exactly `ways` ways
     pub fn fill(&mut self, line: u64, is_store: bool) -> FillOutcome {
         self.clock += 1;
         let clock = self.clock;
         let range = self.set_range(line);
-        let set = &mut self.lines[range];
-        let slot = if let Some(free) = set.iter_mut().find(|l| !l.valid) {
+        let set = &mut self.slots[range];
+        let way = if let Some(free) = set.iter_mut().find(|w| w.tag == INVALID_TAG) {
             free
         } else {
             // tmprof-lint: allow(panic-reachability) — ways >= 1 is validated at construction, so a set always has an LRU victim
-            set.iter_mut().min_by_key(|l| l.stamp).expect("ways > 0")
+            set.iter_mut().min_by_key(|w| w.meta).expect("ways > 0")
         };
-        let writeback = (slot.valid && slot.dirty).then_some(slot.tag);
-        *slot = Line {
+        let writeback = (way.tag != INVALID_TAG && way.dirty()).then_some(way.tag);
+        *way = Way {
             tag: line,
-            stamp: clock,
-            valid: true,
-            dirty: is_store,
+            meta: clock << 1 | u64::from(is_store),
         };
         FillOutcome { writeback }
     }
@@ -156,43 +172,56 @@ impl Cache {
     /// mark it dirty (no demand-stat or LRU update — writebacks are not
     /// demand traffic). Returns false when the line is absent and the
     /// writeback must continue outward.
-    // tmprof-lint: allow(panic-reachability) — set_range masks the set index to sets - 1 and slices exactly `ways` lines
+    // tmprof-lint: allow(panic-reachability) — set_range masks the set index to sets - 1 and slices exactly `ways` ways
     pub fn writeback_touch(&mut self, line: u64) -> bool {
         let range = self.set_range(line);
-        for slot in &mut self.lines[range] {
-            if slot.valid && slot.tag == line {
-                slot.dirty = true;
-                return true;
+        match self.slots[range].iter_mut().find(|w| w.tag == line) {
+            Some(way) => {
+                way.meta |= 1;
+                true
             }
+            None => false,
         }
-        false
     }
 
-    /// Drop `line` if cached (migration scrub / coherence). Returns whether
-    /// it was present and dirty.
-    // tmprof-lint: allow(panic-reachability) — set_range masks the set index to sets - 1 and slices exactly `ways` lines
+    /// Drop `line` if cached (coherence). Returns whether it was present
+    /// and dirty.
+    // tmprof-lint: allow(panic-reachability) — set_range masks the set index to sets - 1 and slices exactly `ways` ways
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
         let range = self.set_range(line);
-        for slot in &mut self.lines[range] {
-            if slot.valid && slot.tag == line {
-                slot.valid = false;
-                return Some(slot.dirty);
-            }
-        }
-        None
+        let way = self.slots[range].iter_mut().find(|w| w.tag == line)?;
+        way.tag = INVALID_TAG;
+        Some(way.dirty())
     }
 
-    /// Drop every line of a physical page (used when a page migrates, so the
-    /// new physical location starts cold, like hardware after a copy).
+    /// Drop every line of the physical page whose first line is
+    /// `page_first_line` (used when a page migrates, so the new physical
+    /// location starts cold, like hardware after a copy).
+    ///
+    /// One pass over the 64 consecutive sets the page maps to, or over the
+    /// whole array when the cache has fewer sets than a page has lines.
+    // tmprof-lint: allow(panic-reachability) — a page-aligned line masks to a set index that is a multiple of 64 below `sets` (itself a power of two >= 64), so the 64-set span ends at or before the array's end
     pub fn invalidate_page_lines(&mut self, page_first_line: u64) {
-        for l in page_first_line..page_first_line + (crate::addr::PAGE_SIZE >> LINE_SHIFT) {
-            self.invalidate(l);
+        debug_assert_eq!(page_first_line % LINES_PER_PAGE as u64, 0);
+        let page = page_first_line >> PAGE_LINE_SHIFT;
+        let span = if self.sets >= LINES_PER_PAGE {
+            let first_set = (page_first_line as usize) & (self.sets - 1);
+            first_set * self.ways..(first_set + LINES_PER_PAGE) * self.ways
+        } else {
+            0..self.slots.len()
+        };
+        // An empty way's tag shifts to 2^58 - 1, beyond any real page, and
+        // clearing it again would be harmless anyway.
+        for way in &mut self.slots[span] {
+            if way.tag >> PAGE_LINE_SHIFT == page {
+                way.tag = INVALID_TAG;
+            }
         }
     }
 
     /// Number of valid lines (diagnostics).
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.slots.iter().filter(|w| w.tag != INVALID_TAG).count()
     }
 
     /// Reset hit/miss counters (per-epoch accounting).
@@ -340,6 +369,26 @@ mod tests {
         assert_eq!(c.occupancy(), 64);
         c.invalidate_page_lines(3 * 64);
         assert_eq!(c.occupancy(), 0);
+    }
+
+    #[test]
+    fn page_scrub_on_small_cache_spares_neighbouring_pages() {
+        // 8 sets x 24 ways: pages 2, 3 and 4 fill every way exactly, and
+        // with fewer than 64 sets the scrub passes over the whole array.
+        let mut c = Cache::new("t", 8 * 24 * 64, 24);
+        for l in (2 * 64)..(5 * 64) {
+            assert!(!c.probe(l, false));
+            c.fill(l, false);
+        }
+        assert_eq!(c.occupancy(), 3 * 64);
+        c.invalidate_page_lines(3 * 64);
+        assert_eq!(c.occupancy(), 2 * 64);
+        for l in (3 * 64)..(4 * 64) {
+            assert_eq!(c.invalidate(l), None, "line {l} of the scrubbed page");
+        }
+        for l in ((2 * 64)..(3 * 64)).chain((4 * 64)..(5 * 64)) {
+            assert!(c.probe(l, false), "line {l} of a neighbouring page");
+        }
     }
 
     #[test]

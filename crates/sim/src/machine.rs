@@ -661,7 +661,6 @@ impl Machine {
         vpn: Vpn,
         dest: Tier,
     ) -> Result<(Pfn, Pfn), MigrateError> {
-        let layout = self.cfg.memory.clone();
         let idx = *self.pid_index.get(&pid).ok_or(MigrateError::NotMapped)?;
         let proc = &mut self.processes[idx];
         let pte_ref = proc
@@ -673,7 +672,7 @@ impl Machine {
             return Err(MigrateError::HugePage);
         }
         let old_pfn = pte_ref.pfn();
-        if layout.tier_of(old_pfn) == dest {
+        if self.cfg.memory.tier_of(old_pfn) == dest {
             return Err(MigrateError::AlreadyThere);
         }
         let new_pfn = self.frames.alloc_in(dest).map_err(MigrateError::NoFrames)?;
@@ -692,7 +691,7 @@ impl Machine {
         // reused. This models the migration entry + flush the kernel
         // installs; the batched IPI *cost* is charged by the mover.
         self.shootdown_silent(pid, &[vpn]);
-        self.frames.free(&layout, old_pfn);
+        self.frames.free(&self.cfg.memory, old_pfn);
         tmprof_obs::metrics::inc(ObsMetric::SimMigrations);
         Ok((old_pfn, new_pfn))
     }

@@ -214,6 +214,7 @@ proptest! {
     ) {
         let mut cache = Cache::new("t", 64 * 64, 4); // 64 lines, 16 sets x 4
         let mut filled: KeySet<u64> = Default::default();
+        let probes = lines.len() as u64;
         for line in lines {
             if cache.probe(line, false) {
                 // A hit is only possible for a line that was filled before.
@@ -224,7 +225,229 @@ proptest! {
             }
             prop_assert!(cache.occupancy() <= 64);
         }
-        prop_assert_eq!(cache.hits() + cache.misses(), cache.hits() + cache.misses());
+        prop_assert_eq!(cache.hits() + cache.misses(), probes);
+    }
+}
+
+// ---------- cache vs the line-by-line reference cache ----------
+
+/// The cache model as it stood before its ways were packed into 16 bytes:
+/// a 24-byte line with separate `valid` and `dirty` flags, and a page scrub
+/// made of 64 single-line invalidations. Kept here as the oracle that the
+/// shipped [`Cache`] must match op for op.
+mod reference {
+    use tmprof_sim::cache::FillOutcome;
+
+    #[derive(Clone, Copy)]
+    struct Line {
+        tag: u64,
+        stamp: u64,
+        valid: bool,
+        dirty: bool,
+    }
+
+    const INVALID_LINE: Line = Line {
+        tag: 0,
+        stamp: 0,
+        valid: false,
+        dirty: false,
+    };
+
+    pub struct RefCache {
+        sets: usize,
+        ways: usize,
+        lines: Vec<Line>,
+        clock: u64,
+        pub hits: u64,
+        pub misses: u64,
+    }
+
+    impl RefCache {
+        pub fn new(size_bytes: u64, ways: usize) -> Self {
+            let sets = (size_bytes >> 6) as usize / ways;
+            Self {
+                sets,
+                ways,
+                lines: vec![INVALID_LINE; sets * ways],
+                clock: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn set_range(&self, line: u64) -> std::ops::Range<usize> {
+            let start = ((line as usize) & (self.sets - 1)) * self.ways;
+            start..start + self.ways
+        }
+
+        /// Whether `line` is cached, without touching LRU or statistics.
+        pub fn contains(&self, line: u64) -> bool {
+            self.lines[self.set_range(line)]
+                .iter()
+                .any(|l| l.valid && l.tag == line)
+        }
+
+        pub fn probe(&mut self, line: u64, is_store: bool) -> bool {
+            self.clock += 1;
+            let clock = self.clock;
+            let range = self.set_range(line);
+            if let Some(slot) = self.lines[range]
+                .iter_mut()
+                .find(|l| l.valid && l.tag == line)
+            {
+                slot.stamp = clock;
+                slot.dirty |= is_store;
+                self.hits += 1;
+                true
+            } else {
+                self.misses += 1;
+                false
+            }
+        }
+
+        pub fn fill(&mut self, line: u64, is_store: bool) -> FillOutcome {
+            self.clock += 1;
+            let clock = self.clock;
+            let range = self.set_range(line);
+            let set = &mut self.lines[range];
+            let slot = if let Some(free) = set.iter_mut().find(|l| !l.valid) {
+                free
+            } else {
+                set.iter_mut().min_by_key(|l| l.stamp).unwrap()
+            };
+            let writeback = (slot.valid && slot.dirty).then_some(slot.tag);
+            *slot = Line {
+                tag: line,
+                stamp: clock,
+                valid: true,
+                dirty: is_store,
+            };
+            FillOutcome { writeback }
+        }
+
+        pub fn writeback_touch(&mut self, line: u64) -> bool {
+            let range = self.set_range(line);
+            for slot in &mut self.lines[range] {
+                if slot.valid && slot.tag == line {
+                    slot.dirty = true;
+                    return true;
+                }
+            }
+            false
+        }
+
+        pub fn invalidate(&mut self, line: u64) -> Option<bool> {
+            let range = self.set_range(line);
+            for slot in &mut self.lines[range] {
+                if slot.valid && slot.tag == line {
+                    slot.valid = false;
+                    return Some(slot.dirty);
+                }
+            }
+            None
+        }
+
+        pub fn invalidate_page_lines(&mut self, page_first_line: u64) {
+            for l in page_first_line..page_first_line + 64 {
+                self.invalidate(l);
+            }
+        }
+
+        pub fn occupancy(&self) -> usize {
+            self.lines.iter().filter(|l| l.valid).count()
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum CacheOp {
+    Probe(u64, bool),
+    /// Probe, and fill on a miss: the demand path the machine drives.
+    Access(u64, bool),
+    /// A bare fill, applied only when the line is absent (the contract:
+    /// every caller fills after a miss).
+    Fill(u64, bool),
+    WritebackTouch(u64),
+    Invalidate(u64),
+    ScrubPage(u64),
+}
+
+fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
+    // Eight pages of lines, plus a few far pages that alias the same sets,
+    // so conflicts, evictions and scrubs all hit populated sets.
+    let line = prop_oneof![
+        4 => 0u64..8 * 64,
+        1 => (0u64..4, 0u64..64).prop_map(|(p, l)| ((1 << 20) + p * 64 * 3) * 64 + l),
+    ];
+    prop::collection::vec(
+        prop_oneof![
+            2 => (line.clone(), any::<bool>()).prop_map(|(l, s)| CacheOp::Probe(l, s)),
+            6 => (line.clone(), any::<bool>()).prop_map(|(l, s)| CacheOp::Access(l, s)),
+            2 => (line.clone(), any::<bool>()).prop_map(|(l, s)| CacheOp::Fill(l, s)),
+            1 => line.clone().prop_map(CacheOp::WritebackTouch),
+            1 => line.clone().prop_map(CacheOp::Invalidate),
+            1 => line.prop_map(|l| CacheOp::ScrubPage(l & !63)),
+        ],
+        1..600,
+    )
+}
+
+/// Drive `ops` through the shipped cache and the reference cache of the
+/// same geometry, asserting identical results after every op.
+fn cache_matches_reference(size_bytes: u64, ways: usize, ops: Vec<CacheOp>) {
+    let mut cache = Cache::new("t", size_bytes, ways);
+    let mut oracle = reference::RefCache::new(size_bytes, ways);
+    for op in ops {
+        match op {
+            CacheOp::Probe(l, s) => prop_assert_eq!(cache.probe(l, s), oracle.probe(l, s)),
+            CacheOp::Access(l, s) => {
+                let hit = cache.probe(l, s);
+                prop_assert_eq!(hit, oracle.probe(l, s));
+                if !hit {
+                    prop_assert_eq!(cache.fill(l, s), oracle.fill(l, s));
+                }
+            }
+            CacheOp::Fill(l, s) => {
+                if !oracle.contains(l) {
+                    prop_assert_eq!(cache.fill(l, s), oracle.fill(l, s));
+                }
+            }
+            CacheOp::WritebackTouch(l) => {
+                prop_assert_eq!(cache.writeback_touch(l), oracle.writeback_touch(l))
+            }
+            CacheOp::Invalidate(l) => prop_assert_eq!(cache.invalidate(l), oracle.invalidate(l)),
+            CacheOp::ScrubPage(first) => {
+                cache.invalidate_page_lines(first);
+                oracle.invalidate_page_lines(first);
+            }
+        }
+        prop_assert_eq!(cache.hits(), oracle.hits);
+        prop_assert_eq!(cache.misses(), oracle.misses);
+        prop_assert_eq!(cache.occupancy(), oracle.occupancy());
+    }
+}
+
+proptest! {
+    /// Fewer than 64 sets: the page scrub passes over the whole array.
+    #[test]
+    fn cache_matches_reference_below_64_sets(
+        ops in cache_ops(),
+        sets_pow in 0u32..6,
+        ways in 1usize..9,
+    ) {
+        let sets = 1u64 << sets_pow;
+        cache_matches_reference(sets * ways as u64 * 64, ways, ops);
+    }
+
+    /// 64 sets or more: the page scrub passes over the page's 64 sets.
+    #[test]
+    fn cache_matches_reference_from_64_sets(
+        ops in cache_ops(),
+        sets_pow in 6u32..9,
+        ways in 1usize..5,
+    ) {
+        let sets = 1u64 << sets_pow;
+        cache_matches_reference(sets * ways as u64 * 64, ways, ops);
     }
 }
 
