@@ -20,6 +20,7 @@ use std::hash::BuildHasher;
 
 use tmprof_profilers::autonuma::{AutoNumaConfig, AutoNumaScanner};
 use tmprof_profilers::thermostat::{Thermostat, ThermostatConfig};
+use tmprof_sim::keymap::KeyMap;
 use tmprof_sim::machine::Machine;
 use tmprof_sim::runner::{OpStream, Runner};
 use tmprof_sim::tlb::Pid;
@@ -97,6 +98,13 @@ fn run_epoch(machine: &mut Machine, gens: &mut [Box<dyn OpStream + Send>], pids:
     Runner::new(streams).run(machine, ops);
 }
 
+/// Add one epoch's memory-level access counts to a lifetime heat map.
+fn add_heat(heat: &mut HashMap<u64, u64>, epoch: &KeyMap<u64, u64>) {
+    for (&k, &v) in epoch {
+        *heat.entry(k).or_insert(0) += v;
+    }
+}
+
 /// Cycles of an unprofiled run (the overhead baseline).
 fn baseline_cycles(kind: WorkloadKind, scale: &Scale) -> u64 {
     run_workload(kind, &RunOptions::new(*scale).with_mode(ProfMode::None))
@@ -119,9 +127,7 @@ pub fn score_tmp(kind: WorkloadKind, scale: &Scale) -> Scorecard {
         for (&k, &v) in &e.profile.trace {
             *estimate.entry(k).or_insert(0) += v;
         }
-        for (&k, &v) in &e.truth_mem {
-            *truth.entry(k).or_insert(0) += v;
-        }
+        add_heat(&mut truth, &e.truth_mem);
     }
     let n = (truth.len() / 16).max(1);
     Scorecard {
@@ -141,14 +147,14 @@ pub fn score_autonuma(kind: WorkloadKind, scale: &Scale) -> Scorecard {
         scan_size_pages: scale.abit_budget,
     });
     machine.set_fault_policy(Some(handler));
+    let mut truth: HashMap<u64, u64> = HashMap::new();
     for _ in 0..scale.epochs {
         for &pid in &pids {
             scanner.scan_pass(&mut machine, pid);
         }
         run_epoch(&mut machine, &mut gens, &pids, scale.ops_per_epoch);
-        machine.advance_epoch();
+        add_heat(&mut truth, &machine.advance_epoch().mem_accesses);
     }
-    let truth = machine.truth().lifetime_mem().clone();
     let estimate = scanner.hit_counts();
     let n = (truth.len() / 16).max(1);
     Scorecard {
@@ -166,18 +172,19 @@ pub fn score_thermostat(kind: WorkloadKind, scale: &Scale) -> Scorecard {
     let (mut gens, pids) = spawn_into(&mut machine, kind, scale);
     let (mut th, handler) = Thermostat::new(ThermostatConfig::default());
     machine.set_fault_policy(Some(handler));
-    // Warm-up epoch so pages exist before the first sample.
+    // Warm-up epoch so pages exist before the first sample; its accesses
+    // count toward lifetime heat like any other epoch's.
+    let mut truth: HashMap<u64, u64> = HashMap::new();
     run_epoch(&mut machine, &mut gens, &pids, scale.ops_per_epoch);
-    machine.advance_epoch();
+    add_heat(&mut truth, &machine.advance_epoch().mem_accesses);
     for _ in 1..scale.epochs {
         for &pid in &pids {
             th.begin_epoch(&mut machine, pid);
         }
         run_epoch(&mut machine, &mut gens, &pids, scale.ops_per_epoch);
         th.end_epoch(&mut machine);
-        machine.advance_epoch();
+        add_heat(&mut truth, &machine.advance_epoch().mem_accesses);
     }
-    let truth = machine.truth().lifetime_mem().clone();
     // Thermostat's estimate is binary; score its hot set.
     // tmprof-lint: allow(determinism-taint) — the estimate map is probed by key against the sorted truth ranking; its iteration order is never observed
     let estimate: HashMap<u64, u64> = th.hot_pages().into_iter().map(|k| (k, 1)).collect();

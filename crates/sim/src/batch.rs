@@ -4,8 +4,8 @@
 //! time, every invariant re-derived per op. [`Machine::exec_batch`] executes
 //! a whole scheduling quantum for one process on one core and is required to
 //! be bit-identical to the equivalent `exec_op` loop (the property tests in
-//! `tests/batch_props.rs` enforce this). It gets its speed from three
-//! sources, none of which may change observable state evolution:
+//! `tests/batch_props.rs` enforce this). It gets its speed from two
+//! sources, neither of which may change observable state evolution:
 //!
 //! 1. **Hoisted invariants.** The process-table index, latency table and
 //!    engine references are resolved once per quantum instead of once per
@@ -18,11 +18,6 @@
 //!    on use* against the live TLB slot — the memo can never serve stale
 //!    translations, only waste a probe — and are additionally cleared on
 //!    every shootdown, migration, A-bit scan and epoch advance.
-//! 3. **Run-length ground-truth recording.** Consecutive accesses to the
-//!    same page within a quantum collapse into one hash-map update. Flushes
-//!    happen on page change, on any fallback to the reference path, and at
-//!    quantum end, preserving both the final counts and the maps' key
-//!    insertion order.
 //!
 //! Anything the fast path cannot provably replay — TLB misses, huge-page
 //! regimes, clean-store D-bit write-backs, faults — falls back to the
@@ -118,10 +113,6 @@ impl Machine {
     pub fn exec_batch(&mut self, core: usize, pid: Pid, ops: &[WorkOp]) {
         let lat = self.config().latency;
         let proc_idx = self.proc_idx(pid);
-        // Run-length ground-truth accumulator for the current page.
-        let mut pend_key = 0u64;
-        let mut pend_refs = 0u64;
-        let mut pend_mems = 0u64;
         // Deferred pure-accumulator counters. Nothing inside the machine
         // reads these mid-op (profilers read them between quanta) and the
         // fallback path's own increments commute with addition, so batching
@@ -165,32 +156,16 @@ impl Machine {
                             store,
                             site,
                         };
-                        let is_mem = self.finish_mem(&acc, entry.pfn, &mut out);
-                        let key = PageKey { pid, vpn }.pack();
-                        if pend_refs > 0 && key != pend_key {
-                            self.truth.record_many(pend_key, pend_refs, pend_mems);
-                            pend_refs = 0;
-                            pend_mems = 0;
+                        if self.finish_mem(&acc, entry.pfn, &mut out) {
+                            self.truth.record_mem(PageKey { pid, vpn });
                         }
-                        pend_key = key;
-                        pend_refs += 1;
-                        pend_mems += is_mem as u64;
                     } else {
-                        // Reference path (records its own ground truth, so
-                        // flush first to preserve key insertion order).
-                        if pend_refs > 0 {
-                            self.truth.record_many(pend_key, pend_refs, pend_mems);
-                            pend_refs = 0;
-                            pend_mems = 0;
-                        }
+                        // Reference path (records its own ground truth).
                         fallbacks += 1;
                         let _ = self.exec_mem_at(core, proc_idx, pid, va, store, site);
                     }
                 }
             }
-        }
-        if pend_refs > 0 {
-            self.truth.record_many(pend_key, pend_refs, pend_mems);
         }
         self.processes[proc_idx].ops_executed += retired;
         let counts = &mut self.cores[core].counts;

@@ -25,7 +25,7 @@ use crate::pagedesc::{PageDescTable, PageKey};
 use crate::pagetable::PageTable;
 use crate::pml::PmlEngine;
 use crate::pte::{bits, Pte};
-use crate::stats::{EpochTruth, GroundTruth};
+use crate::stats::EpochTruth;
 use crate::tier::{Tier, TieredMemory};
 use crate::tlb::{Pid, Tlb, TlbEntry, TlbHit, TlbLevel};
 use crate::trace_engine::{TagOutcome, TraceEngine, TraceMode, TraceSample};
@@ -322,7 +322,8 @@ pub struct Machine {
     pid_index: KeyMap<Pid, usize>,
     frames: FrameAllocator,
     descs: PageDescTable,
-    pub(crate) truth: GroundTruth,
+    /// Memory-level accesses of the in-progress epoch (ground truth).
+    pub(crate) truth: EpochTruth,
     epoch: u32,
     fault_policy: Option<Box<dyn FaultPolicy>>,
     /// Packed [`PageKey`]s in the order they were first touched (minor
@@ -373,7 +374,7 @@ impl Machine {
             pid_index: KeyMap::default(),
             frames,
             descs,
-            truth: GroundTruth::new(),
+            truth: EpochTruth::default(),
             epoch: 0,
             fault_policy: None,
             first_touch_log: Vec::new(),
@@ -554,9 +555,9 @@ impl Machine {
         &mut self.descs
     }
 
-    /// The omniscient recorder (Oracle / evaluation only — not visible to
-    /// profilers).
-    pub fn truth(&self) -> &GroundTruth {
+    /// Ground truth of the in-progress epoch (Oracle / evaluation only —
+    /// not visible to profilers).
+    pub fn truth(&self) -> &EpochTruth {
         &self.truth
     }
 
@@ -579,7 +580,7 @@ impl Machine {
         tmprof_obs::journal::record(ObsEvent::EpochEnd, clock, self.epoch, 0, 0);
         self.epoch += 1;
         tmprof_obs::journal::record(ObsEvent::EpochStart, clock, self.epoch, 0, 0);
-        self.truth.take_epoch()
+        std::mem::take(&mut self.truth)
     }
 
     /// Drop every core's translation-memo hints (O(1) per core). The memo
@@ -780,10 +781,10 @@ impl Machine {
             store,
             site,
         };
-        let is_mem = self.finish_mem(&acc, pfn, &mut out);
-
-        // --- ground truth (invisible to profilers) ---
-        self.truth.record(PageKey { pid, vpn }, is_mem);
+        if self.finish_mem(&acc, pfn, &mut out) {
+            // --- ground truth (invisible to profilers) ---
+            self.truth.record_mem(PageKey { pid, vpn });
+        }
         out
     }
 
@@ -791,8 +792,7 @@ impl Machine {
     /// the trace-sampling offer. Both execution paths — reference and
     /// batched — run this exact code, so their post-translation state
     /// evolution is identical by construction. Returns whether the access
-    /// was served from memory (the caller records ground truth, since the
-    /// batched path batches those updates).
+    /// was served from memory (the caller records ground truth).
     #[inline(always)]
     // tmprof-lint: allow(panic-reachability) — core and proc_idx are validated by exec_batch before dispatch
     pub(crate) fn finish_mem(&mut self, acc: &MemAccess, pfn: Pfn, out: &mut ExecOutcome) -> bool {
@@ -1375,17 +1375,49 @@ mod tests {
             pid: 1,
             vpn: Vpn(9),
         };
-        let t = m.truth().current();
-        assert_eq!(t.references[&key.pack()], 5);
+        let t = m.truth();
         assert_eq!(
-            t.mem_accesses[&key.pack()],
+            t.mem_accesses_of(key),
             1,
             "only the cold miss reaches memory"
         );
+        assert_eq!(t.pages_touched(), 1);
         let epoch = m.advance_epoch();
         assert_eq!(epoch.total_mem_accesses(), 1);
-        assert_eq!(m.truth().current().total_mem_accesses(), 0);
+        assert_eq!(
+            m.truth().total_mem_accesses(),
+            0,
+            "advance starts a fresh epoch"
+        );
         assert_eq!(m.epoch(), 1);
+    }
+
+    #[test]
+    fn cache_served_quantum_leaves_epoch_truth_empty() {
+        let mut m = small_machine();
+        m.touch(0, 1, VirtAddr(0x9000));
+        assert_eq!(m.advance_epoch().total_mem_accesses(), 1);
+        // Drop the translation but keep the cached line: the quantum's
+        // first op re-walks and seeds the translation memo, so the rest
+        // take the batched fast path.
+        m.shootdown_silent(1, &[Vpn(9)]);
+        let ops: Vec<WorkOp> = (0..64)
+            .map(|i| WorkOp::Mem {
+                va: VirtAddr(0x9000 + (i % 4) * 8),
+                store: i % 3 == 0,
+                site: 0,
+            })
+            .collect();
+        m.exec_batch(0, 1, &ops);
+        for &op in &ops {
+            m.exec_op(0, 1, op);
+        }
+        assert_eq!(
+            m.aggregate_counts().llc_misses,
+            1,
+            "only the warm-up missed"
+        );
+        assert!(m.truth().mem_accesses.is_empty());
     }
 
     #[test]

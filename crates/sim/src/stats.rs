@@ -1,29 +1,37 @@
 //! Ground-truth access accounting.
 //!
 //! The simulator — unlike real hardware — can afford omniscience: it records
-//! exactly how many times each logical page is touched, both at the
-//! reference level (every load/store) and at the memory level (LLC misses).
-//! This is what the paper's Oracle policy "assumes knowledge of" (Table II),
-//! and what the Fig. 6 hitrate replay uses as the denominator. None of this
-//! information is visible to the profilers, which see only their own sampled
-//! views.
+//! exactly how many times each logical page is accessed at the memory level
+//! (LLC misses) in each epoch. This is what the paper's Oracle policy
+//! "assumes knowledge of" (Table II), and what the Fig. 6 hitrate replay uses
+//! as the denominator. None of this information is visible to the profilers,
+//! which see only their own sampled views.
+//!
+//! Only memory-level accesses are recorded: an access served from cache
+//! costs the recorder nothing. Lifetime heat is the sum of the epochs: a
+//! caller that needs it adds up the [`EpochTruth`]s that
+//! [`crate::machine::Machine::advance_epoch`] returns.
 
 use crate::keymap::KeyMap;
 use crate::pagedesc::PageKey;
 
-/// Per-epoch, per-page true access counts.
+/// Per-epoch, per-page memory-level access counts.
 ///
-/// Counts live in [`KeyMap`]s: `record` runs on the simulator's per-op hot
-/// path, so the map hash must be cheap (and deterministic for replays).
+/// Counts live in a [`KeyMap`]: `record_mem` runs on every LLC miss, so the
+/// map hash must be cheap (and deterministic for replays).
 #[derive(Clone, Debug, Default)]
 pub struct EpochTruth {
     /// Memory-level accesses (LLC misses) per packed [`PageKey`].
     pub mem_accesses: KeyMap<u64, u64>,
-    /// All references (cache hits included) per packed [`PageKey`].
-    pub references: KeyMap<u64, u64>,
 }
 
 impl EpochTruth {
+    /// Record one memory-level access to `key`.
+    #[inline]
+    pub(crate) fn record_mem(&mut self, key: PageKey) {
+        *self.mem_accesses.entry(key.pack()).or_insert(0) += 1;
+    }
+
     /// Total memory-level accesses this epoch.
     pub fn total_mem_accesses(&self) -> u64 {
         self.mem_accesses.values().sum()
@@ -40,59 +48,6 @@ impl EpochTruth {
     }
 }
 
-/// The machine's omniscient recorder.
-#[derive(Debug, Default)]
-pub struct GroundTruth {
-    current: EpochTruth,
-    /// Lifetime memory accesses per page (heat over the whole run).
-    lifetime_mem: KeyMap<u64, u64>,
-}
-
-impl GroundTruth {
-    /// Fresh recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one reference; `memory_level` marks LLC misses.
-    #[inline]
-    pub fn record(&mut self, key: PageKey, memory_level: bool) {
-        let packed = key.pack();
-        *self.current.references.entry(packed).or_insert(0) += 1;
-        if memory_level {
-            *self.current.mem_accesses.entry(packed).or_insert(0) += 1;
-            *self.lifetime_mem.entry(packed).or_insert(0) += 1;
-        }
-    }
-
-    /// Record `refs` references to one packed page key, `mems` of them at
-    /// the memory level. Equivalent to `refs` calls of [`GroundTruth::record`]
-    /// (the batched executor's run-length flush).
-    #[inline]
-    pub fn record_many(&mut self, packed: u64, refs: u64, mems: u64) {
-        *self.current.references.entry(packed).or_insert(0) += refs;
-        if mems > 0 {
-            *self.current.mem_accesses.entry(packed).or_insert(0) += mems;
-            *self.lifetime_mem.entry(packed).or_insert(0) += mems;
-        }
-    }
-
-    /// Close the epoch: return its truth and start a fresh one.
-    pub fn take_epoch(&mut self) -> EpochTruth {
-        std::mem::take(&mut self.current)
-    }
-
-    /// Peek at the in-progress epoch.
-    pub fn current(&self) -> &EpochTruth {
-        &self.current
-    }
-
-    /// Lifetime memory accesses per packed page key.
-    pub fn lifetime_mem(&self) -> &KeyMap<u64, u64> {
-        &self.lifetime_mem
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,37 +61,26 @@ mod tests {
     }
 
     #[test]
-    fn records_references_and_memory_separately() {
-        let mut gt = GroundTruth::new();
-        gt.record(key(1), false);
-        gt.record(key(1), true);
-        gt.record(key(2), false);
-        let t = gt.current();
-        assert_eq!(t.references.len(), 2);
-        assert_eq!(t.mem_accesses.len(), 1);
-        assert_eq!(t.mem_accesses_of(key(1)), 1);
-        assert_eq!(t.mem_accesses_of(key(2)), 0);
-        assert_eq!(t.total_mem_accesses(), 1);
-    }
-
-    #[test]
-    fn take_epoch_resets_current_but_keeps_lifetime() {
-        let mut gt = GroundTruth::new();
-        gt.record(key(1), true);
-        let e1 = gt.take_epoch();
-        assert_eq!(e1.total_mem_accesses(), 1);
-        assert_eq!(gt.current().total_mem_accesses(), 0);
-        gt.record(key(1), true);
-        assert_eq!(gt.lifetime_mem()[&key(1).pack()], 2);
+    fn record_mem_counts_per_page() {
+        let mut t = EpochTruth::default();
+        t.record_mem(key(1));
+        t.record_mem(key(1));
+        t.record_mem(key(2));
+        assert_eq!(t.mem_accesses.len(), 2);
+        assert_eq!(t.mem_accesses_of(key(1)), 2);
+        assert_eq!(t.mem_accesses_of(key(2)), 1);
+        assert_eq!(t.mem_accesses_of(key(3)), 0);
+        assert_eq!(t.total_mem_accesses(), 3);
     }
 
     #[test]
     fn pages_touched_counts_distinct_pages() {
-        let mut gt = GroundTruth::new();
+        let mut t = EpochTruth::default();
         for v in 0..10 {
-            gt.record(key(v), true);
-            gt.record(key(v), true);
+            t.record_mem(key(v));
+            t.record_mem(key(v));
         }
-        assert_eq!(gt.current().pages_touched(), 10);
+        assert_eq!(t.pages_touched(), 10);
+        assert_eq!(t.total_mem_accesses(), 20);
     }
 }

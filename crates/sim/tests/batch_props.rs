@@ -8,9 +8,10 @@
 //! and epoch advances are interleaved between quanta — exactly the events
 //! that invalidate the batched path's translation memo. Every observable
 //! the rest of the stack consumes must match exactly: per-core event
-//! counts, per-epoch and lifetime ground truth (including hash-map
-//! iteration order, which downstream hashing makes reproducible), trace
-//! samples, first-touch order, and frame allocation.
+//! counts, per-epoch memory-level ground truth (including hash-map
+//! iteration order, which downstream hashing makes reproducible) and the
+//! lifetime heat summed from it, trace samples, first-touch order, and
+//! frame allocation.
 
 use proptest::prelude::*;
 
@@ -99,9 +100,9 @@ fn machine(thp: bool) -> Machine {
 struct Snapshot {
     per_core_counts: Vec<EventCounts>,
     /// Per-epoch truth in *iteration order* — order-sensitive on purpose.
-    epochs: Vec<Vec<(u64, u64, u64)>>,
-    current_refs: Vec<(u64, u64)>,
+    epochs: Vec<Vec<(u64, u64)>>,
     current_mems: Vec<(u64, u64)>,
+    /// Lifetime heat: the closed epochs plus the current one, summed.
     lifetime: Vec<(u64, u64)>,
     first_touch: Vec<u64>,
     traces: Vec<Vec<TraceSample>>,
@@ -109,11 +110,8 @@ struct Snapshot {
     tier2_frames: u64,
 }
 
-fn epoch_rows(t: &EpochTruth) -> Vec<(u64, u64, u64)> {
-    t.references
-        .iter()
-        .map(|(&k, &r)| (k, r, t.mem_accesses.get(&k).copied().unwrap_or(0)))
-        .collect()
+fn epoch_rows(t: &EpochTruth) -> Vec<(u64, u64)> {
+    t.mem_accesses.iter().map(|(&k, &v)| (k, v)).collect()
 }
 
 fn run(actions: &[Action], thp: bool, batched: bool) -> Snapshot {
@@ -154,16 +152,12 @@ fn run(actions: &[Action], thp: bool, batched: bool) -> Snapshot {
             }
         }
     }
-    let current = m.truth().current();
-    let current_refs: Vec<(u64, u64)> = current.references.iter().map(|(&k, &v)| (k, v)).collect();
-    let current_mems: Vec<(u64, u64)> =
-        current.mem_accesses.iter().map(|(&k, &v)| (k, v)).collect();
-    let lifetime: Vec<(u64, u64)> = m
-        .truth()
-        .lifetime_mem()
-        .iter()
-        .map(|(&k, &v)| (k, v))
-        .collect();
+    let current_mems = epoch_rows(m.truth());
+    let mut heat: KeyMap<u64, u64> = KeyMap::default();
+    for &(k, v) in epochs.iter().flatten().chain(&current_mems) {
+        *heat.entry(k).or_insert(0) += v;
+    }
+    let lifetime: Vec<(u64, u64)> = heat.into_iter().collect();
     let per_core_counts: Vec<EventCounts> = m.counts_iter().cloned().collect();
     let first_touch = m.first_touch_order().to_vec();
     let tier1_frames = m.frames().allocated_in(Tier::Tier1);
@@ -174,7 +168,6 @@ fn run(actions: &[Action], thp: bool, batched: bool) -> Snapshot {
     Snapshot {
         per_core_counts,
         epochs,
-        current_refs,
         current_mems,
         lifetime,
         first_touch,

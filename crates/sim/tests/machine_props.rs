@@ -48,6 +48,7 @@ proptest! {
         let mut m = machine();
         let mut mem_ops = 0u64;
         let mut compute_ops = 0u64;
+        let mut llc_misses_at_close = 0u64;
         for action in ops {
             match action {
                 Action::Mem { core, page, store } => {
@@ -88,8 +89,11 @@ proptest! {
                     }
                 }
                 Action::Epoch => {
+                    // Ground truth records exactly the epoch's LLC misses.
                     let truth = m.advance_epoch();
-                    prop_assert!(truth.total_mem_accesses() <= mem_ops);
+                    let llc_misses = m.aggregate_counts().llc_misses;
+                    prop_assert_eq!(truth.total_mem_accesses(), llc_misses - llc_misses_at_close);
+                    llc_misses_at_close = llc_misses;
                 }
             }
             let c = m.aggregate_counts();
